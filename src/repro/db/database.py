@@ -7,7 +7,9 @@ a propositional variable ``v(f)`` -- and *exogenous* facts, which are taken
 for granted and contribute the constant 1 to the lineage.
 
 The :class:`Database` also acts as the registry mapping endogenous facts to
-consecutive integer variable ids (the variables of the lineage DNF) and back.
+consecutive integer variable ids (the variables of the lineage DNF) and back,
+and keeps the hash indexes the query evaluator joins through
+(:meth:`Database.index`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.db.schema import RelationSymbol, Schema
 
 Value = object
+Row = Tuple[Value, ...]
+#: Rows grouped by the tuple of their values at an index's key positions.
+Index = Dict[Row, List[Row]]
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,10 @@ class Database:
 
     def __init__(self, schema: Optional[Schema] = None) -> None:
         self.schema = schema if schema is not None else Schema()
-        self._rows: Dict[str, List[Tuple[Value, ...]]] = {}
+        self._rows: Dict[str, List[Row]] = {}
+        # relation -> (arity, key positions) -> (rows indexed, index).
+        self._indexes: Dict[str, Dict[Tuple[int, Tuple[int, ...]],
+                                      Tuple[int, Index]]] = {}
         self._endogenous: Dict[Fact, int] = {}
         self._exogenous: set[Fact] = set()
         self._by_variable: Dict[int, Fact] = {}
@@ -85,6 +93,7 @@ class Database:
                 )
             return fact
         self._rows.setdefault(relation, []).append(fact.values)
+        self._indexes.pop(relation, None)
         if endogenous:
             variable = self._next_variable
             self._next_variable += 1
@@ -104,9 +113,38 @@ class Database:
     # Lookup
     # ------------------------------------------------------------------ #
 
-    def rows(self, relation: str) -> Sequence[Tuple[Value, ...]]:
+    def rows(self, relation: str) -> Sequence[Row]:
         """All rows of a relation (empty if the relation has no facts)."""
         return tuple(self._rows.get(relation, ()))
+
+    def index(self, relation: str, arity: int,
+              positions: Tuple[int, ...]) -> Index:
+        """The rows of ``relation`` with ``arity`` values, keyed by ``positions``.
+
+        Maps the tuple of a row's values at ``positions`` to every such row,
+        in insertion order.  Built from :meth:`rows` on first use and cached
+        until the next :meth:`add_fact` on the relation drops it.  An index
+        is published only once it is complete, so threads evaluating
+        against one database never see a partial one.  Callers must not
+        mutate it.
+        """
+        key = (arity, positions)
+        cached = self._indexes.get(relation, {}).get(key)
+        # Rows are only ever appended, so an index is current iff it holds
+        # as many rows as the relation has.  Checking here, not only in
+        # ``add_fact``, keeps an index built concurrently with an insert
+        # from being used stale, without a lock on the insert path.
+        if cached is not None and cached[0] == len(
+                self._rows.get(relation, ())):
+            return cached[1]
+        rows = self.rows(relation)
+        index: Index = {}
+        for row in rows:
+            if len(row) == arity:
+                index.setdefault(tuple([row[p] for p in positions]),
+                                 []).append(row)
+        self._indexes.setdefault(relation, {})[key] = (len(rows), index)
+        return index
 
     def relations(self) -> List[str]:
         """Names of relations with at least one fact."""

@@ -1,5 +1,9 @@
 """Tests for query evaluation, lineage construction, parsing and reductions."""
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from repro.baselines.brute_force import banzhaf_all_brute_force
@@ -93,6 +97,111 @@ class TestEvaluation:
         query = ConjunctiveQuery((atom("R", var("X")),), head=(var("X"),))
         with pytest.raises(ValueError):
             boolean_query_holds(query, Database())
+
+
+def _counted_rows(database: Database) -> Counter:
+    """Count, per relation, the rows read through ``database.rows``."""
+    read: Counter = Counter()
+    original = database.rows
+
+    def rows(relation):
+        found = original(relation)
+        read[relation] += len(found)
+        return found
+
+    database.rows = rows
+    return read
+
+
+def _chain_database(size: int) -> Database:
+    database = Database()
+    for value in range(size):
+        database.add_fact("R", (value,))
+        database.add_fact("T", (value,), endogenous=value % 2 == 0)
+        for offset in (1, 2):
+            database.add_fact("S", (value, (value + offset) % size))
+    return database
+
+
+def _groundings(answers):
+    return [(answer.values, [(g.binding, g.facts) for g in answer.groundings])
+            for answer in answers]
+
+
+class TestIndexedJoin:
+    def test_add_fact_invalidates_indexes(self):
+        database = Database()
+        r_a = database.add_fact("R", ("a",))
+        s_a1 = database.add_fact("S", ("a", 1))
+        s_b1 = database.add_fact("S", ("b", 1))
+        query = parse_query("Q(X) :- R(X), S(X, Y)")
+        before = {a.values: a.lineage for a in lineage_of_answers(query, database)}
+        assert set(before) == {("a",)}
+
+        s_a2 = database.add_fact("S", ("a", 2))
+        database.add_fact("R", ("b",), endogenous=False)
+        after = {a.values: a.lineage for a in lineage_of_answers(query, database)}
+        var_of = database.variable_of
+        assert after[("a",)].clauses == {
+            frozenset({var_of(r_a), var_of(s_a1)}),
+            frozenset({var_of(r_a), var_of(s_a2)}),
+        }
+        # R(b) is exogenous: it drops out of the new answer's only clause.
+        assert after[("b",)].clauses == {frozenset({var_of(s_b1)})}
+
+    @pytest.mark.parametrize("text, max_reads", [
+        ("Q(X) :- R(X), S(X, Y), T(Y)", {"R": 1, "S": 1, "T": 1}),
+        # A self-join reads S at most once per distinct set of key columns.
+        ("Q() :- S(X, Y), S(Y, Z), T(Z)", {"S": 2, "T": 1}),
+    ])
+    def test_each_index_reads_its_relation_once(self, text, max_reads):
+        database = _chain_database(30)
+        sizes = {name: len(database.rows(name)) for name in max_reads}
+        read = _counted_rows(database)
+        query = parse_query(text)
+        first = _groundings(evaluate_query(query, database))
+        assert first
+        for name, reads in read.items():
+            assert reads <= max_reads[name] * sizes[name], name
+        read.clear()
+        assert _groundings(evaluate_query(query, database)) == first
+        assert sum(read.values()) == 0
+
+    @pytest.mark.concurrency
+    def test_threads_never_see_a_partial_index(self):
+        # Every query joins through the same index of S (keyed on its first
+        # column), so threads race to build it and to read it.
+        queries = [parse_query(text) for text in (
+            "Q(X) :- R(X), S(X, Y)",
+            "Q(Y) :- T(X), S(X, Y)",
+            "Q(X, Z) :- R(X), S(X, Y), S(Y, Z)",
+            "Q() :- T(X), S(X, Y), R(Y)",
+        )]
+        expected = [_groundings(evaluate_query(query, _chain_database(500)))
+                    for query in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                database = _chain_database(500)
+                results = [None] * len(queries)
+                start = threading.Barrier(len(queries))
+
+                def run(slot):
+                    start.wait(timeout=30)
+                    results[slot] = _groundings(
+                        evaluate_query(queries[slot], database))
+
+                threads = [threading.Thread(target=run, args=(slot,))
+                           for slot in range(len(queries))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLineage:
