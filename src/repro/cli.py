@@ -60,6 +60,10 @@ superseded records; ``cache migrate`` copies one store into another
 prints the store's per-kind (results vs compiled trees)
 entry/shard/size summary.
 
+An unreadable or malformed ``--facts`` file and an unparseable ``--query``
+print one ``error: ...`` line to stderr and exit with code 2, in the
+flag-style interface, ``serve`` and ``cache save`` alike.
+
 A store that cannot be opened -- another process holds the log-backend
 writer lock (:class:`StoreLockedError`) or the directory is unreadable
 -- makes ``serve`` and every ``cache`` action print one structured
@@ -80,7 +84,7 @@ import time
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.db.database import Database
-from repro.db.datalog import parse_query
+from repro.db.datalog import QueryParseError, parse_query
 from repro.dtree.kernels import HAVE_NUMPY
 from repro.engine import Engine, EngineConfig
 from repro.engine.frontend import FrontendConfig, serve_jsonl_concurrent
@@ -91,6 +95,28 @@ from repro.engine.logstore import (
     open_store,
 )
 from repro.engine.serve import AttributionService, serve_jsonl
+
+
+class InputError(Exception):
+    """A bad command-line input: an unreadable or malformed facts file, or
+    an unparseable query.  Reported as one ``error: ...`` line on stderr
+    with exit code 2, never as a traceback."""
+
+
+def _input_error(error: InputError) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
+def _parse_queries(texts: Sequence[str]) -> list:
+    queries = []
+    for text in texts:
+        try:
+            queries.append(parse_query(text))
+        except QueryParseError as error:
+            raise InputError(f"unparseable query {text!r}: {error}") \
+                from error
+    return queries
 
 
 def _coerce(value: str) -> object:
@@ -216,9 +242,12 @@ def run(argv: Sequence[str], output=None) -> int:
               "(it only affects approximate, the auto fallback, and "
               "ranking)", file=stream)
 
-    database = _build_database(arguments.facts, arguments.exogenous, stream)
-
-    queries = [parse_query(text) for text in arguments.query]
+    try:
+        database = _build_database(arguments.facts, arguments.exogenous,
+                                   stream)
+        queries = _parse_queries(arguments.query)
+    except InputError as error:
+        return _input_error(error)
     if ranking:
         engine = Engine(EngineConfig(
             method="topk" if arguments.top_k is not None else "rank",
@@ -283,12 +312,23 @@ def _run_ranking(engine: Engine, queries, database, stream) -> bool:
 
 def _build_database(facts: Sequence[Tuple[str, str]],
                     exogenous_names: Sequence[str], stream) -> Database:
-    """Load every ``--facts`` relation into a fresh database."""
+    """Load every ``--facts`` relation into a fresh database.
+
+    Raises :class:`InputError` when a file cannot be read or holds a row
+    that does not fit its relation.
+    """
     exogenous = set(exogenous_names)
     database = Database()
     for name, path in facts:
-        loaded = _load_relation(database, name, path,
-                                endogenous=name not in exogenous)
+        try:
+            loaded = _load_relation(database, name, path,
+                                    endogenous=name not in exogenous)
+        except OSError as error:
+            raise InputError(f"cannot read facts for {name}: {error}") \
+                from error
+        except ValueError as error:
+            raise InputError(f"bad facts for {name} in {path!r}: {error}") \
+                from error
         print(f"loaded {loaded} facts into {name}"
               f"{' (exogenous)' if name in exogenous else ''}", file=stream)
     return database
@@ -473,7 +513,10 @@ def _serve_command(argv: Sequence[str], stream, log=None) -> int:
     if arguments.breaker_threshold < 0:
         parser.error("--breaker-threshold must be non-negative")
 
-    database = _build_database(arguments.facts, arguments.exogenous, log)
+    try:
+        database = _build_database(arguments.facts, arguments.exogenous, log)
+    except InputError as error:
+        return _input_error(error)
     if arguments.store is not None:
         store = _open_store_checked(arguments, log)
         if store is None:
@@ -662,8 +705,12 @@ def _cache_command(argv: Sequence[str], stream) -> int:
         parser.error("--k is only meaningful with --method topk")
     if not arguments.facts:
         parser.error("at least one --facts NAME=PATH is required")
-    database = _build_database(arguments.facts, arguments.exogenous, stream)
-    queries = [parse_query(text) for text in arguments.query]
+    try:
+        database = _build_database(arguments.facts, arguments.exogenous,
+                                   stream)
+        queries = _parse_queries(arguments.query)
+    except InputError as error:
+        return _input_error(error)
     engine = Engine(EngineConfig(method=arguments.method,
                                  epsilon=arguments.epsilon,
                                  k=arguments.k))

@@ -60,23 +60,6 @@ class AttributionResult:
         return Fraction(0)
 
 
-def _attributions_from_values(values: Dict[int, Fraction], database: Database,
-                              bounds: Optional[Dict[int, Tuple[int, int]]] = None
-                              ) -> Tuple[FactAttribution, ...]:
-    entries = []
-    for variable, value in values.items():
-        lower, upper = (bounds or {}).get(variable, (None, None))
-        entries.append(FactAttribution(
-            fact=database.fact_of(variable),
-            variable=variable,
-            value=Fraction(value),
-            lower=lower,
-            upper=upper,
-        ))
-    entries.sort(key=lambda entry: (-entry.value, entry.variable))
-    return tuple(entries)
-
-
 #: Shared serial engines, one per (method, epsilon) configuration.  Sharing
 #: keeps the lineage cache warm across ``attribute_facts`` calls -- repeat
 #: queries and isomorphic answers skip compilation entirely.  Bounded: the

@@ -14,6 +14,7 @@ and keeps the hash indexes the query evaluator joins through
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -23,6 +24,10 @@ Value = object
 Row = Tuple[Value, ...]
 #: Rows grouped by the tuple of their values at an index's key positions.
 Index = Dict[Row, List[Row]]
+
+#: Source of :attr:`Database.token`: unique for the life of the process,
+#: unlike ``id()``, which a later object may reuse.
+_TOKENS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,18 @@ class Database:
     schema:
         Optional schema; relations are declared on the fly when facts are
         added if no schema is given or the relation is missing.
+
+    Attributes
+    ----------
+    token:
+        Process-unique identity of this database object (never reused,
+        unlike ``id()``).
+    version:
+        Number of facts inserted so far.  :meth:`add_fact` increments it
+        once per *new* fact, after the fact is fully visible; re-adding an
+        existing fact leaves it unchanged.  ``(token, version)`` thus names
+        one state of the content, which is what per-database memos key on
+        (:class:`repro.engine.cache.LineageCache`'s answer tier).
     """
 
     def __init__(self, schema: Optional[Schema] = None) -> None:
@@ -61,6 +78,15 @@ class Database:
         self._exogenous: set[Fact] = set()
         self._by_variable: Dict[int, Fact] = {}
         self._next_variable = 0
+        self.token = next(_TOKENS)
+        self.version = 0
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # A copy or an unpickled database is a new object: it must not
+        # share its original's token, or memos keyed on the token would
+        # serve one database's answers for the other once they diverge.
+        self.__dict__.update(state)
+        self.token = next(_TOKENS)
 
     # ------------------------------------------------------------------ #
     # Fact insertion
@@ -101,6 +127,8 @@ class Database:
             self._by_variable[variable] = fact
         else:
             self._exogenous.add(fact)
+        # Last, so a reader that sees the new version also sees the fact.
+        self.version += 1
         return fact
 
     def add_facts(self, relation: str, rows: Iterable[Sequence[Value]],

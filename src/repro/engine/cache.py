@@ -18,6 +18,16 @@ partial (resumable) artifacts both live there; since they are exactly
 serializable they also flow through the persistent store tier, so
 compilation survives process restarts exactly like results do.
 
+A third bounded tier, **answers**, memoizes query evaluation itself: per
+``(query, database token, database version, domain policy)`` it keeps each
+answer's values, canonical key and canonical-to-fact variable mapping
+(:data:`AnswerKeys`) -- no lineages, no canonical DNFs -- so a repeated
+query against an unchanged database reaches the result tier without
+evaluating or canonicalizing anything.  The key carries no method, epsilon
+or k, so every op over one query shares one entry; inserting a fact bumps
+the database version and thereby retires every entry of the old state
+(see :func:`repro.engine.engine.answer_keys`).
+
 Since the store tier (:mod:`repro.engine.store`) this cache is the *first*
 of two result tiers: the engine falls through memory -> store -> compute,
 promoting store hits back into this LRU, and :meth:`LRUCache.snapshot`
@@ -61,6 +71,14 @@ def canonical_epsilon(epsilon: Union[float, int, Fraction, None]
         return None
     return Fraction(epsilon)
 
+#: One answer of a memoized query evaluation: the answer's values, the
+#: canonical key of its lineage, and ``from_canonical`` as a tuple
+#: (canonical variable ``i`` is fact variable ``from_canonical[i]``).
+AnswerKey = Tuple[Tuple[object, ...], CanonicalKey, Tuple[int, ...]]
+#: Value of the answers tier: one :data:`AnswerKey` per answer, in answer
+#: order.
+AnswerKeys = Tuple[AnswerKey, ...]
+
 #: Methods whose cached values depend on epsilon: ``approximate`` outright,
 #: ``auto`` through its AdaBan fallback (each Engine pins one epsilon, but
 #: the key must not rely on that), ``rank``/``topk`` through their anytime
@@ -93,6 +111,14 @@ class CachedAttribution:
     #: ``False`` for best-so-far ranking results whose anytime run exhausted
     #: its budget; such entries are never written to the cache.
     converged: bool = True
+
+    #: Sort data of canonical-space assembly (:mod:`repro.engine.assembly`),
+    #: set on the instance the first time the entry is assembled as an
+    #: attribution or as a ranking.  Not dataclass fields: they take no
+    #: part in equality, ``repr`` or the store codec, and they live and
+    #: die with the entry.
+    _attribution_order = None
+    _ranking_order = None
 
 
 class LRUCache(Generic[_V]):
@@ -155,7 +181,7 @@ class LRUCache(Generic[_V]):
 
 
 class LineageCache:
-    """The engine's two-level memo: results (primary) and compiled artifacts.
+    """The engine's memo tiers: results, compiled artifacts and answers.
 
     Result entries are small (per-variable Fractions keyed by tuples of int
     tuples), so the default of 4096 is only a few megabytes for typical
@@ -166,12 +192,18 @@ class LineageCache:
     (``artifact_entries``).  Artifacts are keyed by
     :data:`~repro.engine.canonical.CanonicalKey` alone — one compilation
     serves every method, epsilon and k over that lineage.
+
+    The answers tier shares the result tier's bound (``max_entries``).  An
+    entry holds its query and, per answer, the answer's values, a
+    ``from_canonical`` tuple and a reference to the canonical key that
+    the result tier's keys already hold.
     """
 
     def __init__(self, max_entries: int = 4096,
                  artifact_entries: int = 256) -> None:
         self.results: LRUCache[CachedAttribution] = LRUCache(max_entries)
         self.artifacts: LRUCache[object] = LRUCache(artifact_entries)
+        self.answers: LRUCache[AnswerKeys] = LRUCache(max_entries)
 
     @staticmethod
     def result_key(key: CanonicalKey, method: str,
@@ -198,6 +230,7 @@ class LineageCache:
                 k if base == "topk" else None)
 
     def clear(self) -> None:
-        """Drop both cache levels."""
+        """Drop every tier."""
         self.results.clear()
         self.artifacts.clear()
+        self.answers.clear()

@@ -10,7 +10,10 @@ lineages) it runs a four-stage pipeline:
    canonical form (:mod:`repro.engine.canonical`) and look it up in the
    cache tiers -- the in-memory lineage cache first, then the optional
    persistent store (:mod:`repro.engine.store`) -- deduplicating
-   isomorphic answers within the batch;
+   isomorphic answers within the batch.  Stages 1 and 2 are memoized per
+   ``(query, database version)`` (:func:`answer_keys`): a repeated query
+   whose every answer hits the in-memory result tier skips straight to
+   stage 4;
 3. **compute**, split into **compile-once / evaluate-per-method** -- each
    distinct cache miss first obtains its lineage's
    :class:`~repro.engine.artifact.CompiledLineage` (memory artifact cache
@@ -23,7 +26,8 @@ lineages) it runs a four-stage pipeline:
    ``concurrent.futures`` process pool with chunked scheduling and a
    transparent serial fallback (artifacts never cross the pool boundary);
 4. **assemble** -- translate canonical-space values back through each
-   answer's variable mapping and attach database facts.
+   answer's variable mapping and attach database facts, ordering by sort
+   data kept on the result entry (:mod:`repro.engine.assembly`).
 
 Freshly computed converged results -- and fresh or further-refined
 compilation artifacts, converged or not -- are written back to every
@@ -69,6 +73,7 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import (
@@ -85,10 +90,10 @@ from typing import (
 from repro.boolean.dnf import DNF
 from repro.core.adaban import adaban_over_state, shared_state
 from repro.core.exaban import exaban_all
-from repro.core.ichiban import RankedVariable, ranked_from_bounds
+from repro.core.ichiban import RankedVariable
 from repro.core.shapley import shapley_all
 from repro.db.database import Database, Fact
-from repro.db.lineage import AnswerLineage, DomainPolicy, lineage_of_answers
+from repro.db.lineage import DomainPolicy, lineage_of_answers
 from repro.db.query import Query
 from repro.dtree.compile import (
     CompilationBudget,
@@ -102,7 +107,8 @@ from repro.dtree.kernels import (
     prewarm_arenas,
 )
 from repro.engine.artifact import CompiledLineage, complete_compilation
-from repro.engine.cache import CachedAttribution, LineageCache
+from repro.engine.assembly import attributions_of, ranking_of
+from repro.engine.cache import AnswerKeys, CachedAttribution, LineageCache
 from repro.engine.canonical import CanonicalKey, CanonicalLineage, canonicalize
 from repro.engine.logstore import STORE_BACKENDS, resolve_store
 from repro.engine.ranking import compute_ranking
@@ -126,6 +132,10 @@ EngineMethod = Literal["auto", "exact", "approximate", "shapley",
 #: One per-answer ranking: the answer tuple plus (fact, entry) pairs in
 #: rank order.
 RankedAnswer = Tuple[Tuple[object, ...], List[Tuple[Fact, RankedVariable]]]
+
+#: One answer ready to assemble: its values, its canonical-to-fact variable
+#: mapping, and its canonical-space result.
+_AnswerOutcome = Tuple[Tuple[object, ...], Sequence[int], CachedAttribution]
 
 #: Compilation budget used by ``auto`` when the config leaves the Shannon
 #: budget unlimited: generous enough for every workload lineage that the
@@ -566,6 +576,45 @@ def _worker_compute_chunk(payload: Tuple
     return results
 
 
+def answer_keys(cache: LineageCache, query: Query, database: Database,
+                domain: DomainPolicy, stats: Optional[EngineStats] = None,
+                use_memo: bool = True
+                ) -> Tuple[AnswerKeys, Optional[List[CanonicalLineage]]]:
+    """Each answer's values, canonical key and variable mapping, memoized.
+
+    Looks the query up in the answers tier of ``cache`` under ``(query,
+    database.token, database.version, domain)`` and returns ``(keys,
+    None)`` on a hit.  Otherwise (or with ``use_memo=False``) it evaluates
+    the query and canonicalizes every answer lineage, returning ``(keys,
+    canonicals)`` -- the canonical lineages are what a computation needs
+    -- and memoizes ``keys`` unless the database changed meanwhile.  Since
+    :meth:`Database.add_fact` bumps the version once a new fact is fully
+    inserted, an entry is never stored under a version whose content it
+    does not reflect.  ``stats`` times the two stages when given.
+
+    The engine's query paths and the service's coalescing key share this
+    one helper, so a front-end request evaluates its query at most once.
+    """
+    version = database.version
+    memo_key = (query, database.token, version, domain)
+    if use_memo:
+        keys = cache.answers.get(memo_key)
+        if keys is not None:
+            return keys, None
+    with stats.timed("evaluate") if stats is not None else nullcontext():
+        answers = lineage_of_answers(query, database, domain=domain)
+    with stats.timed("canonicalize") if stats is not None else nullcontext():
+        canonicals = [canonicalize(answer.lineage) for answer in answers]
+    keys = tuple(
+        (answer.values, canonical.key,
+         tuple(canonical.from_canonical[index]
+               for index in range(len(canonical.from_canonical))))
+        for answer, canonical in zip(answers, canonicals))
+    if database.version == version:
+        cache.answers.put(memo_key, keys)
+    return keys, canonicals
+
+
 class Engine:
     """Batched attribution engine with a lineage cache and parallel fan-out.
 
@@ -640,14 +689,14 @@ class Engine:
 
         for query in queries:
             self.stats.bump(queries=1)
-            with self.stats.timed("evaluate"):
-                answers = lineage_of_answers(query, database,
-                                             domain=self.config.domain)
-            outcomes = self._attribute_batch([a.lineage for a in answers])
+            outcomes = self._answer_outcomes(query, database)
             with self.stats.timed("assemble"):
                 results = [
-                    self._assemble(answer, outcome, database)
-                    for answer, outcome in zip(answers, outcomes)
+                    AttributionResult(
+                        answer=values,
+                        attributions=attributions_of(cached, from_canonical,
+                                                     database))
+                    for values, from_canonical, cached in outcomes
                 ]
             yield query, results
 
@@ -673,18 +722,19 @@ class Engine:
                 "rank()/rank_many() need an engine configured with "
                 f"method='rank' or 'topk', not {self.config.method!r}"
             )
+        if self.config.method == "topk":
+            effective_k: Optional[int] = self.config.k if k is None else k
+        else:
+            effective_k = None
         for query in queries:
             self.stats.bump(queries=1)
-            with self.stats.timed("evaluate"):
-                answers = lineage_of_answers(query, database,
-                                             domain=self.config.domain)
-            outcomes = self._attribute_batch([a.lineage for a in answers],
-                                             k=k, numeric=numeric)
+            outcomes = self._answer_outcomes(query, database, k=k,
+                                             numeric=numeric)
             with self.stats.timed("assemble"):
                 rankings = [
-                    (answer.values,
-                     self._ranked_facts(outcome, database, k))
-                    for answer, outcome in zip(answers, outcomes)
+                    (values, ranking_of(cached, from_canonical, database,
+                                        effective_k))
+                    for values, from_canonical, cached in outcomes
                 ]
             yield query, rankings
 
@@ -782,11 +832,59 @@ class Engine:
     # Pipeline stages
     # ----------------------------------------------------------------- #
 
+    def _answer_outcomes(self, query: Query, database: Database,
+                         k: Optional[int] = None,
+                         numeric: Optional[str] = None
+                         ) -> List[_AnswerOutcome]:
+        """Every answer of ``query`` with its canonical-space result.
+
+        The fast path: the answers tier knows the query's canonical keys
+        at this database version and the memory result tier holds every
+        answer's result -- no evaluation, canonicalization or computation
+        runs.  Any miss (an evicted result, one only in the store, an
+        unconverged one that was never cached) takes the full path
+        instead: evaluate, canonicalize, memory -> store -> compute.
+        """
+        k, numeric, key_method = self._call_key(k, numeric)
+        config = self.config
+        keys, canonicals = answer_keys(self.cache, query, database,
+                                       config.domain, self.stats)
+        if canonicals is None:
+            outcomes = []
+            with self.stats.timed("canonicalize"):
+                for values, key, from_canonical in keys:
+                    hit = self.cache.results.get(self.cache.result_key(
+                        key, key_method, config.epsilon, k))
+                    if hit is None:
+                        break
+                    outcomes.append((values, from_canonical, hit))
+            if len(outcomes) == len(keys):
+                self.stats.bump(answers=len(keys), cache_hits=len(keys),
+                                answer_memo_hits=1)
+                return outcomes
+            keys, canonicals = answer_keys(self.cache, query, database,
+                                           config.domain, self.stats,
+                                           use_memo=False)
+        cached = self._attribute_canonicals(canonicals, k, numeric,
+                                            key_method)
+        return [(values, canonical.from_canonical, outcome)
+                for (values, _, _), canonical, outcome
+                in zip(keys, canonicals, cached)]
+
     def _attribute_batch(self, lineages: Sequence[DNF],
                          k: Optional[int] = None,
                          numeric: Optional[str] = None
                          ) -> List[Tuple[CanonicalLineage, CachedAttribution]]:
         """Canonicalize, cache-check, compute and return per-lineage outcomes."""
+        k, numeric, key_method = self._call_key(k, numeric)
+        with self.stats.timed("canonicalize"):
+            canonicals = [canonicalize(lineage) for lineage in lineages]
+        return list(zip(canonicals, self._attribute_canonicals(
+            canonicals, k, numeric, key_method)))
+
+    def _call_key(self, k: Optional[int], numeric: Optional[str]
+                  ) -> Tuple[Optional[int], str, str]:
+        """Validate per-call overrides; returns ``(k, numeric, key method)``."""
         config = self.config
         if k is None:
             k = config.k
@@ -811,10 +909,16 @@ class Engine:
         # produce different certificates, so they must never alias.
         key_method = (config.method if numeric == "exact"
                       else f"{config.method}-float")
-        self.stats.bump(answers=len(lineages))
+        return k, numeric, key_method
+
+    def _attribute_canonicals(self, canonicals: Sequence[CanonicalLineage],
+                              k: Optional[int], numeric: str,
+                              key_method: str) -> List[CachedAttribution]:
+        """Cache-check, compute and return one outcome per canonical lineage."""
+        config = self.config
+        self.stats.bump(answers=len(canonicals))
 
         with self.stats.timed("canonicalize"):
-            canonicals = [canonicalize(lineage) for lineage in lineages]
             keys = [self.cache.result_key(c.key, key_method,
                                           config.epsilon, k)
                     for c in canonicals]
@@ -873,8 +977,7 @@ class Engine:
                 if tasks and self.store is not None:
                     self.store.flush()
 
-        return [(canonicals[index], cached[index])
-                for index in range(len(lineages))]
+        return [cached[index] for index in range(len(canonicals))]
 
     def _effective_workers(self) -> int:
         """Worker processes the pool could actually run in parallel.
@@ -1096,37 +1199,6 @@ class Engine:
                   ) -> Dict[int, Fraction]:
         return {canonical.from_canonical[variable]: value
                 for variable, value in values.items()}
-
-    def _ranked_facts(self, outcome: Tuple[CanonicalLineage, CachedAttribution],
-                      database: Database, k: Optional[int]
-                      ) -> List[Tuple[Fact, RankedVariable]]:
-        """Order one answer's facts by the cached interval evidence."""
-        canonical, cached = outcome
-        bounds = {canonical.from_canonical[variable]: bound
-                  for variable, bound in cached.bounds.items()}
-        if self.config.method == "topk":
-            effective_k: Optional[int] = self.config.k if k is None else k
-        else:
-            effective_k = None
-        return [(database.fact_of(entry.variable), entry)
-                for entry in ranked_from_bounds(bounds, effective_k)]
-
-    def _assemble(self, answer: AnswerLineage,
-                  outcome: Tuple[CanonicalLineage, CachedAttribution],
-                  database: Database) -> "AttributionResult":
-        from repro.core.attribution import (
-            AttributionResult,
-            _attributions_from_values,
-        )
-
-        canonical, cached = outcome
-        values = self._map_back(cached.values, canonical)
-        bounds = {canonical.from_canonical[v]: bound
-                  for v, bound in cached.bounds.items()}
-        return AttributionResult(
-            answer=answer.values,
-            attributions=_attributions_from_values(values, database, bounds),
-        )
 
 
 def engine_for(method: EngineMethod = "auto", *,

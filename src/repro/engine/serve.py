@@ -56,18 +56,23 @@ from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 from repro.core.adaban import ApproximationTimeout
 from repro.db.database import Database
 from repro.db.datalog import parse_query
-from repro.db.lineage import lineage_of_answers
+from repro.db.lineage import lineage_of_answers  # noqa: F401
 from repro.db.query import Query
 from repro.dtree.compile import CompilationLimitReached
 from repro.engine.cache import LineageCache
-from repro.engine.canonical import canonicalize
-from repro.engine.engine import Engine, EngineConfig
+from repro.engine.canonical import canonicalize  # noqa: F401
+from repro.engine.engine import Engine, EngineConfig, answer_keys
 from repro.engine.logstore import StoreLockedError, resolve_store
 from repro.engine.stats import EngineStats
 from repro.engine.store import CacheStore
 from repro.reliability import faults
 from repro.reliability.errors import CircuitOpenError, TransientStoreError
 from repro.reliability.resilient import wrap_store
+
+# ``lineage_of_answers`` and ``canonicalize`` are called through
+# :func:`~repro.engine.engine.answer_keys` now; the names stay bound here
+# because layer tracing (``perfbench/harness/runner.py``) wraps them on this
+# module as well as on :mod:`repro.engine.engine`.
 
 #: Ops a request may carry.
 OPS = ("attribute", "rank", "topk")
@@ -507,21 +512,20 @@ class AttributionService:
         (single-flight) regardless of how differently the queries are
         *spelled*: isomorphic lineages over differently-named relations
         coalesce, textually identical queries under different methods do
-        not.  Evaluating the query here is the cheap pipeline stage;
-        the expensive stage (compilation) is exactly what coalescing
-        avoids repeating.
+        not.  The canonical keys come from the shared answers tier
+        (:func:`~repro.engine.engine.answer_keys`): a query already seen
+        at this database version is not evaluated here at all.
         """
         if parsed.op == "attribute":
             method = parsed.method or self._base.method
         else:
             method = "topk" if parsed.op == "topk" else "rank"
         epsilon = self._engine_epsilon(method)
-        answers = lineage_of_answers(parsed.query, self.database,
-                                     domain=self._base.domain)
+        answers, _ = answer_keys(self.cache, parsed.query, self.database,
+                                 self._base.domain)
         keys = {
-            LineageCache.result_key(canonicalize(answer.lineage).key,
-                                    method, epsilon, parsed.k)
-            for answer in answers
+            LineageCache.result_key(key, method, epsilon, parsed.k)
+            for _, key, _ in answers
         }
         if not keys:
             # Zero-answer queries share no computation worth coalescing;

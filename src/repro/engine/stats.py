@@ -34,6 +34,7 @@ COUNTER_FIELDS = (
     "cache_hits",
     "store_hits",
     "cache_misses",
+    "answer_memo_hits",
     "compilations",
     "tree_compilations",
     "artifact_hits",
@@ -78,6 +79,13 @@ class EngineStats:
         always 0 when no store is configured.
     cache_misses:
         Answers that required a fresh computation (missed every tier).
+    answer_memo_hits:
+        Queries served without evaluation or canonicalization: the
+        answers tier (:func:`repro.engine.engine.answer_keys`) held the
+        query's canonical answers for the current database version, and
+        the memory result tier held every answer's result.  Such a query
+        still counts its answers in ``answers`` and ``cache_hits``, so the
+        tier hit rates read the same with or without the memo.
     compilations:
         Fresh computations actually executed (one per distinct canonical
         lineage that missed the cache).
@@ -175,6 +183,7 @@ class EngineStats:
     cache_hits: int = 0
     store_hits: int = 0
     cache_misses: int = 0
+    answer_memo_hits: int = 0
     compilations: int = 0
     tree_compilations: int = 0
     artifact_hits: int = 0
@@ -317,6 +326,7 @@ class EngineStats:
             "cache_hits": self.cache_hits,
             "store_hits": self.store_hits,
             "cache_misses": self.cache_misses,
+            "answer_memo_hits": self.answer_memo_hits,
             "hit_rate": round(self.hit_rate(), 4),
             "tier_hit_rates": {tier: round(rate, 4)
                                for tier, rate in self.tier_hit_rates().items()},

@@ -173,6 +173,76 @@ class TestRun:
         assert "(1,)" not in output.getvalue()
 
 
+class TestInputErrors:
+    """Bad inputs are one ``error:`` line on stderr and exit code 2."""
+
+    def _single_error_line(self, capsys):
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("error: ")
+        assert "Traceback" not in err
+        return lines[0]
+
+    def test_unparseable_query(self, csv_relations, capsys):
+        r_path, _ = csv_relations
+        code = run(["--facts", f"R={r_path}", "--query", "Q(X) :- R(X"],
+                   output=io.StringIO())
+        assert code == 2
+        line = self._single_error_line(capsys)
+        assert "Q(X) :- R(X" in line
+
+    def test_missing_facts_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        code = run(["--facts", f"R={missing}", "--query", "Q(X) :- R(X)"],
+                   output=io.StringIO())
+        assert code == 2
+        assert "absent.csv" in self._single_error_line(capsys)
+
+    def test_facts_file_with_wrong_arity(self, csv_relations, capsys):
+        r_path, s_path = csv_relations
+        code = run(["--facts", f"R={r_path}", "--facts", f"R={s_path}",
+                    "--query", "Q(X) :- R(X)"], output=io.StringIO())
+        assert code == 2
+        assert "arity" in self._single_error_line(capsys)
+
+    def test_serve_missing_facts_file(self, tmp_path, capsys):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("", encoding="utf-8")
+        code = run(["serve", "--facts", f"R={tmp_path / 'absent.csv'}",
+                    "--requests", str(requests)], output=io.StringIO())
+        assert code == 2
+        self._single_error_line(capsys)
+
+    def test_cache_save_unparseable_query(self, csv_relations, tmp_path,
+                                          capsys):
+        r_path, _ = csv_relations
+        code = run(["cache", "save", "--store", str(tmp_path / "store"),
+                    "--facts", f"R={r_path}", "--query", "Q(X) :-"],
+                   output=io.StringIO())
+        assert code == 2
+        self._single_error_line(capsys)
+
+    def test_module_entry_point(self, tmp_path):
+        # The bug report's exact shape: ``python -m repro`` in a fresh
+        # interpreter, stderr carrying the line and nothing else.
+        import os
+        import subprocess
+        import sys
+
+        missing = str(tmp_path / "absent.csv")
+        environment = dict(os.environ)
+        source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        environment["PYTHONPATH"] = os.path.abspath(source)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--facts", f"R={missing}",
+             "--query", "Q(X) :- R(X"],
+            capture_output=True, text=True, env=environment, timeout=60)
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error: ")
+        assert len(completed.stderr.strip().splitlines()) == 1
+
+
 class TestServeCommand:
     def _requests_file(self, tmp_path, lines):
         path = tmp_path / "requests.jsonl"

